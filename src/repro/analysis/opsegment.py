@@ -4,13 +4,13 @@
 through ``Pool.map``, which pickles and unpickles hundreds of
 thousands of :class:`~repro.analysis.pairing.PairedOp` objects in the
 *parent* — serial work that grew with the trace and erased the
-workers' gains.  Instead, workers now serialize their (key-sorted)
+workers' gains.  Instead, workers now serialize their (reply-ordered)
 ops into a compact binary *segment* using the same framing discipline
 as the ``.rtb`` container (string-table interning, tagged
 length-prefixed frames), publish the bytes out-of-band — POSIX shared
 memory via :mod:`multiprocessing.shared_memory`, or a spooled temp
 file — and return only a tiny stats struct plus a segment handle.
-The parent claims each segment and merge-decodes lazily.
+The parent claims each segment and decodes it lazily, in chunk order.
 
 Segment layout (all integers little-endian)::
 

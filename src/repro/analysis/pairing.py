@@ -5,6 +5,28 @@ want one object per operation.  Pairing also surfaces the capture-loss
 phenomenon of Section 4.1.4: a reply whose call was dropped cannot be
 decoded (it is counted, not used), and a call with no reply within the
 timeout was either dropped on the mirror or never answered.
+
+The pairing contract.  :class:`StreamPairer` is the only code that
+matches replies to calls; :func:`pair_records`, :func:`pair_all`, the
+streaming engine and the ``--jobs`` fan-out of
+:mod:`repro.analysis.parallel` all drive it.  Over a wire-time-ordered
+record stream, with calls keyed by ``(client, xid)``:
+
+* ops come out in *reply order*: one op at each reply that completes
+  a pair, carrying its call's wire time as ``time``;
+* a call whose key is already outstanding is a retransmission: the
+  earlier call is charged as unanswered and the newest kept;
+* a reply pairs its outstanding call only if
+  ``reply.time - call.time <= reply_timeout``, checked when the reply
+  arrives; a later reply charges the call as unanswered and then
+  counts as a reply without a call;
+* a reply without a call is a duplicate when the same key paired (or
+  was duplicated) at most ``reply_timeout`` earlier, else an orphan;
+* calls still outstanding at end of stream are unanswered.
+
+Every 4096 calls the pairer drops outstanding calls and recent pairs
+older than ``reply_timeout``.  In an ordered stream no later reply can
+use them, so the sweep frees memory and changes no result.
 """
 
 from __future__ import annotations
@@ -104,98 +126,19 @@ def pair_records(
 ) -> Iterator[PairedOp]:
     """Pair a wire-time-ordered record stream into operations.
 
-    Yields ops in *call* wire-time order (close enough given the small
-    reply latency).  Pass a :class:`PairingStats` to collect loss
-    accounting.  Pass a :class:`~repro.obs.spans.SpanRecorder` to emit
-    a ``pairer`` span per resolution verdict (paired / orphan_reply /
-    duplicate_reply) for sampled operations.
+    Yields ops in reply order (see the module docstring).  Pass a
+    :class:`PairingStats` to collect loss accounting.  Pass a
+    :class:`~repro.obs.spans.SpanRecorder` to emit a ``pairer`` span
+    per resolution verdict (paired / orphan_reply / duplicate_reply)
+    for sampled operations.
     """
-    if stats is None:
-        stats = PairingStats()
-    outstanding: dict[tuple[str, int], TraceRecord] = {}
-    pop = outstanding.pop
-    #: keys paired recently, mapped to the pairing reply's wire time;
-    #: a second reply for such a key within reply_timeout is a capture
-    #: duplicate, not an orphan (its call was not lost)
-    recent: dict[tuple[str, int], float] = {}
-    last_time = 0.0
-    ok_status = NfsStatus.OK
-    read_proc = NfsProc.READ
-    call_dir = Direction.CALL
+    pairer = StreamPairer(reply_timeout=reply_timeout, stats=stats, spans=spans)
+    push = pairer.push
     for record in records:
-        time = record.time
-        if time > last_time:
-            last_time = time
-        if record.direction == call_dir:
-            stats.calls += 1
-            key = (record.client, record.xid)
-            if key in outstanding:
-                # duplicate xid before reply: retransmission; keep newest
-                stats.unanswered_calls += 1
-            outstanding[key] = record
-        else:
-            stats.replies += 1
-            key = (record.client, record.xid)
-            call = pop(key, None)
-            if call is None:
-                seen = recent.get(key)
-                if seen is not None and time - seen <= reply_timeout:
-                    stats.duplicate_replies += 1
-                    recent[key] = time
-                    verdict = "duplicate_reply"
-                else:
-                    stats.orphan_replies += 1
-                    verdict = "orphan_reply"
-                if spans is not None:
-                    tid = spans.trace_of(
-                        record.client, record.xid, record.proc._value_
-                    )
-                    if tid is not None:
-                        spans.pairer_span(
-                            tid, record.proc._value_, time, time, verdict
-                        )
-                continue
-            recent[key] = time
-            # _merge(call, record), inlined for the per-reply path;
-            # fields are passed positionally in PairedOp declaration
-            # order — one op per reply makes the kwargs dict measurable
-            count = call.count
-            if call.proc is read_proc and record.count is not None:
-                count = record.count  # short reads: believe the reply
-            status = record.status
-            if status is None:
-                status = ok_status
-            stats.paired += 1
-            if status is not ok_status:
-                stats.errors += 1
-            if spans is not None:
-                tid = spans.trace_of(
-                    call.client, call.xid, call.proc._value_
-                )
-                if tid is not None:
-                    spans.pairer_span(
-                        tid, call.proc._value_, call.time, time, "paired"
-                    )
-            yield PairedOp(
-                call.time, time, call.proc, call.client, call.xid, status,
-                call.version, call.uid, call.fh, call.name, call.target_fh,
-                call.target_name, call.offset, count, call.size,
-                record.eof, record.fh, record.attr_size, record.attr_mtime,
-                record.attr_ftype,
-            )
-        # expire stale outstanding calls (and recent-pair entries, which
-        # the duplicate check would reject on time anyway) occasionally
-        if stats.calls % 4096 == 0:
-            horizon = last_time - reply_timeout
-            if outstanding:
-                stale = [k for k, c in outstanding.items() if c.time < horizon]
-                for key in stale:
-                    del outstanding[key]
-                    stats.unanswered_calls += 1
-            if recent:
-                for key in [k for k, t in recent.items() if t < horizon]:
-                    del recent[key]
-    stats.unanswered_calls += len(outstanding)
+        op = push(record)
+        if op is not None:
+            yield op
+    pairer.close()
 
 
 def pair_all(records: Iterable[TraceRecord]) -> tuple[list[PairedOp], PairingStats]:
@@ -211,19 +154,23 @@ def pair_all(records: Iterable[TraceRecord]) -> tuple[list[PairedOp], PairingSta
     return ops, stats
 
 
-class StreamPairer:
-    """Push-based pairing for live taps and the streaming engine.
+_CALL = Direction.CALL
+_READ = NfsProc.READ
+_OK = NfsStatus.OK
 
-    Behaviorally identical to :func:`pair_records` — same op stream,
-    same :class:`PairingStats` accounting, same periodic expiry of
-    stale outstanding calls — but driven one record at a time, so a
-    caller can pair a live capture or an out-of-core trace without an
-    iterator in hand.  Memory is bounded by the outstanding-call table
-    (calls awaiting replies within ``reply_timeout``).
+
+class StreamPairer:
+    """The pairing kernel: push one record at a time, get ops back.
+
+    Implements the module's pairing contract for live taps, the
+    streaming engine, :func:`pair_records` and the fan-out's chunk
+    workers and boundary pass (:meth:`handoff`, :meth:`supersede` and
+    :meth:`adopt` carry state across chunk boundaries).  Memory is
+    bounded by the calls awaiting replies within ``reply_timeout``.
     """
 
     __slots__ = ("stats", "reply_timeout", "spans", "_outstanding",
-                 "_recent", "_last_time")
+                 "_recent")
 
     def __init__(
         self,
@@ -234,81 +181,114 @@ class StreamPairer:
     ) -> None:
         self.stats = stats if stats is not None else PairingStats()
         self.reply_timeout = reply_timeout
-        #: optional repro.obs.spans.SpanRecorder — same verdict spans
-        #: as pair_records, so batch and stream span streams agree
+        #: optional repro.obs.spans.SpanRecorder for verdict spans
         self.spans = spans
         self._outstanding: dict[tuple[str, int], TraceRecord] = {}
+        #: keys paired recently, mapped to the pairing reply's wire time;
+        #: a second reply for such a key within reply_timeout is a capture
+        #: duplicate, not an orphan (its call was not lost)
         self._recent: dict[tuple[str, int], float] = {}
-        self._last_time = 0.0
 
     def push(self, record: TraceRecord) -> PairedOp | None:
         """Consume one record; returns the completed op on replies."""
         stats = self.stats
-        time = record.time
-        if time > self._last_time:
-            self._last_time = time
-        op: PairedOp | None = None
-        if record.direction == Direction.CALL:
-            stats.calls += 1
-            key = (record.client, record.xid)
-            if key in self._outstanding:
-                # duplicate xid before reply: retransmission; keep newest
+        key = (record.client, record.xid)
+        if record.direction == _CALL:
+            calls = stats.calls = stats.calls + 1
+            outstanding = self._outstanding
+            if key in outstanding:
+                # retransmission: the earlier call goes unanswered
                 stats.unanswered_calls += 1
-            self._outstanding[key] = record
-        else:
-            stats.replies += 1
-            key = (record.client, record.xid)
-            call = self._outstanding.pop(key, None)
-            spans = self.spans
-            if call is None:
-                seen = self._recent.get(key)
-                if seen is not None and time - seen <= self.reply_timeout:
-                    stats.duplicate_replies += 1
-                    self._recent[key] = time
-                    verdict = "duplicate_reply"
-                else:
-                    stats.orphan_replies += 1
-                    verdict = "orphan_reply"
-                if spans is not None:
-                    tid = spans.trace_of(
-                        record.client, record.xid, record.proc._value_
-                    )
-                    if tid is not None:
-                        spans.pairer_span(
-                            tid, record.proc._value_, time, time, verdict
-                        )
-            else:
-                stats.paired += 1
+            outstanding[key] = record
+            if not calls & 4095:
+                self._sweep(record.time)
+            return None
+        stats.replies += 1
+        time = record.time
+        call = self._outstanding.pop(key, None)
+        if call is not None:
+            if time - call.time <= self.reply_timeout:
                 self._recent[key] = time
-                op = _merge(call, record)
-                if op.status is not NfsStatus.OK:
+                stats.paired += 1
+                count = call.count
+                if call.proc is _READ and record.count is not None:
+                    count = record.count  # short reads: believe the reply
+                status = record.status
+                if status is None:
+                    status = _OK
+                elif status is not _OK:
                     stats.errors += 1
-                if spans is not None:
-                    tid = spans.trace_of(
-                        call.client, call.xid, call.proc._value_
-                    )
-                    if tid is not None:
-                        spans.pairer_span(
-                            tid, call.proc._value_, call.time, time, "paired"
-                        )
-        # expire stale outstanding calls and recent-pair entries
-        # occasionally (same cadence as pair_records, so the two paths
-        # account loss identically)
-        if stats.calls % 4096 == 0:
-            horizon = self._last_time - self.reply_timeout
-            if self._outstanding:
-                stale = [
-                    k for k, c in self._outstanding.items() if c.time < horizon
-                ]
-                for key in stale:
-                    del self._outstanding[key]
-                    stats.unanswered_calls += 1
-            if self._recent:
-                for key in [
-                    k for k, t in self._recent.items() if t < horizon
-                ]:
-                    del self._recent[key]
-        return op
+                if self.spans is not None:
+                    self._span(call, call.time, time, "paired")
+                # positional, in PairedOp declaration order: one op per
+                # reply makes a kwargs dict measurable
+                return PairedOp(
+                    call.time, time, call.proc, call.client, call.xid,
+                    status, call.version, call.uid, call.fh, call.name,
+                    call.target_fh, call.target_name, call.offset, count,
+                    call.size, record.eof, record.fh, record.attr_size,
+                    record.attr_mtime, record.attr_ftype,
+                )
+            stats.unanswered_calls += 1  # its reply came too late
+        seen = self._recent.get(key)
+        if seen is not None and time - seen <= self.reply_timeout:
+            stats.duplicate_replies += 1
+            self._recent[key] = time
+            if self.spans is not None:
+                self._span(record, time, time, "duplicate_reply")
+        else:
+            self._orphan(record)
+        return None
+
+    def _orphan(self, reply: TraceRecord) -> None:
+        """A reply with neither its call nor a recent pair: call lost."""
+        self.stats.orphan_replies += 1
+        if self.spans is not None:
+            self._span(reply, reply.time, reply.time, "orphan_reply")
+
+    def _span(self, record: TraceRecord, start: float, end: float,
+              verdict: str) -> None:
+        proc = record.proc._value_
+        tid = self.spans.trace_of(record.client, record.xid, proc)
+        if tid is not None:
+            self.spans.pairer_span(tid, proc, start, end, verdict)
+
+    def _sweep(self, now: float) -> None:
+        """Free what no later reply can use (memory only, see module doc)."""
+        horizon = now - self.reply_timeout
+        outstanding = self._outstanding
+        stale = [k for k, c in outstanding.items() if c.time < horizon]
+        for key in stale:
+            del outstanding[key]
+        self.stats.unanswered_calls += len(stale)
+        recent = self._recent
+        for key in [k for k, t in recent.items() if t < horizon]:
+            del recent[key]
+
+    def supersede(self, call: TraceRecord) -> None:
+        """Another kernel saw ``call``: charge the call it retransmits."""
+        if self._outstanding.pop((call.client, call.xid), None) is not None:
+            self.stats.unanswered_calls += 1
+
+    def handoff(self, end: float) -> tuple[list[TraceRecord], dict]:
+        """End a chunk that ended at ``end`` without charging anything.
+
+        Returns the outstanding calls and the recent pairs a later
+        chunk's replies could still use, for :meth:`adopt`.
+        """
+        horizon = end - self.reply_timeout
+        recent = {k: t for k, t in self._recent.items() if t >= horizon}
+        return list(self._outstanding.values()), recent
+
+    def adopt(self, calls: list[TraceRecord], recent: dict) -> None:
+        """Continue after a chunk's :meth:`handoff` (boundary pass)."""
+        for call in calls:
+            self.push(call)
+        mine = self._recent
+        for key, when in recent.items():
+            seen = mine.get(key)
+            if seen is None or when > seen:
+                mine[key] = when
 
     def close(self) -> PairingStats:
         """End of stream: count leftovers as unanswered; returns stats."""
@@ -320,17 +300,3 @@ class StreamPairer:
     def __len__(self) -> int:
         """Outstanding (unreplied) calls currently buffered."""
         return len(self._outstanding)
-
-
-def _merge(call: TraceRecord, reply: TraceRecord) -> PairedOp:
-    count = call.count
-    if call.proc is NfsProc.READ and reply.count is not None:
-        count = reply.count  # short reads: believe the reply
-    return PairedOp(
-        call.time, reply.time, call.proc, call.client, call.xid,
-        reply.status if reply.status is not None else NfsStatus.OK,
-        call.version, call.uid, call.fh, call.name, call.target_fh,
-        call.target_name, call.offset, count, call.size,
-        reply.eof, reply.fh, reply.attr_size, reply.attr_mtime,
-        reply.attr_ftype,
-    )

@@ -1,31 +1,36 @@
 """Parallel analysis fan-out over trace chunks.
 
-Decode + pairing dominate analysis wall time, and both parallelize:
-the trace is split into *content-derived* chunks (boundaries nudged so
-records sharing one timestamp stay together), each chunk is decoded
-and paired by a worker, and a deterministic merge resolves the
-call/reply pairs that straddle chunk boundaries.
+``parallel_pair(path, jobs=N)`` returns exactly what
+:func:`~repro.analysis.pairing.pair_all` returns for the whole trace:
+the same ops in the same (reply) order and the same
+:class:`~repro.analysis.pairing.PairingStats`.  With ``jobs=1``, or
+when the trace plans as a single chunk, it *is* that serial pass:
+:class:`~repro.trace.TraceReader` into the pairing kernel, with no
+chunk plan and no spool.
 
-Chunk planning depends only on the trace — never on the worker count —
-so ``jobs=1`` and ``jobs=N`` walk identical chunk lists through
-identical merge code and produce identical results, byte for byte.
-``jobs=1`` runs the same code path inline without a pool.
+With ``jobs > 1`` the trace is split into *content-derived* chunks
+(boundaries nudged so records sharing one timestamp stay together) and
+each chunk is decoded and paired by a pool worker driving its own
+:class:`~repro.analysis.pairing.StreamPairer`.  What a chunk cannot
+settle alone it hands back in file order: replies whose call may sit
+in an earlier chunk (each with the number of local ops before it),
+calls near its start that may retransmit an earlier chunk's call, its
+outstanding calls at the end and its recent pairs.  One boundary pass
+drives a parent-side kernel over those leftovers, chunk by chunk, and
+the final op list is the per-chunk op streams concatenated in chunk
+order, each boundary op spliced in at its reply's position.
 
-The fan-out is built to keep the *parent's* serial section small,
-because that is what Amdahl charges for:
+The fan-out keeps the *parent's* serial section small, because that is
+what Amdahl charges for:
 
 * Workers never receive record objects: a :class:`ChunkSpec` carries a
   path plus a byte range, and each worker seeks and decodes its own
   slice.  Gzipped inputs are decompressed once into a spooled copy so
   workers seek raw bytes instead of each re-inflating the prefix.
-* Workers never *return* op objects either.  ``Pool.map`` used to
-  pickle every :class:`~repro.analysis.pairing.PairedOp` back through
-  the result queue, and the parent-side unpickle cost more than the
-  pairing saved (speedup_N < 1).  Each worker now key-sorts its ops,
-  serializes them into a binary segment
-  (:mod:`repro.analysis.opsegment`: shared memory, or spooled files),
-  and returns a small stats struct plus a handle; the parent does one
-  streaming k-way merge-decode by the ``(time, client, xid)`` key.
+* Workers never *return* op objects either: each serializes its ops
+  into a binary segment (:mod:`repro.analysis.opsegment`: shared
+  memory, or spooled files) and returns a small result struct plus a
+  handle; the parent decodes the segments in chunk order.
 * The binary string table is written once to a side file that workers
   read directly, instead of pickling a per-chunk snapshot of the whole
   table into every :class:`ChunkSpec`.
@@ -41,12 +46,12 @@ see :func:`repro.cli.main.cmd_analyze`.
 from __future__ import annotations
 
 import functools
-import heapq
 import io
 import shutil
 import tempfile
 import time as _time
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from struct import Struct
 from typing import Iterable
@@ -66,7 +71,7 @@ from repro.trace.binfmt import (
     open_binary_for_read,
     read_trace_header,
 )
-from repro.nfs.messages import NfsStatus
+from repro.trace.reader import TraceReader
 from repro.trace.record import Direction, TraceRecord, record_from_line
 from repro.analysis.opsegment import (
     claim_segment,
@@ -80,7 +85,8 @@ from repro.analysis.pairing import (
     DEFAULT_REPLY_TIMEOUT,
     PairedOp,
     PairingStats,
-    _merge,
+    StreamPairer,
+    pair_records,
 )
 
 #: Nominal records per chunk when a fixed size is requested.  The
@@ -126,28 +132,23 @@ class ChunkSpec:
 
 @dataclass
 class PairedChunk:
-    """A worker's partial result: pairs plus boundary leftovers."""
+    """A chunk worker's result: local pairs plus what it left open."""
 
+    stats: PairingStats = field(default_factory=PairingStats)
     ops: list[PairedOp] = field(default_factory=list)
+    #: in file order: ``(local ops before it, record)`` for each reply
+    #: the chunk could not settle and each call near the chunk's start
+    #: (it may retransmit an earlier chunk's outstanding call)
+    head: list[tuple[int, TraceRecord]] = field(default_factory=list)
+    #: calls still outstanding at the chunk's end
     tail_calls: list[TraceRecord] = field(default_factory=list)
-    head_orphans: list[TraceRecord] = field(default_factory=list)
-    calls: int = 0
-    replies: int = 0
-    paired: int = 0
-    errors: int = 0
-    retransmissions: int = 0  # duplicate-xid calls (content-derived)
-    duplicates: int = 0  # replies re-captured after their pair completed
-    #: keys paired within reply_timeout of the chunk's end, with the
-    #: pairing reply's time — lets the merge classify a duplicate reply
-    #: whose original pair completed in an earlier chunk
+    #: recent pairs a later chunk's duplicate replies may refer to
     recent: dict = field(default_factory=dict)
-    #: duplicate-reply records of *span-sampled* operations (normally
-    #: duplicates are only counted; span emission needs the records)
-    dup_records: list[TraceRecord] = field(default_factory=list)
+    #: pairer spans of span-sampled ops, for the parent to replay
+    spans: list[tuple] = field(default_factory=list)
     wall_seconds: float = 0.0
-    #: pool mode: ops travel as a published segment, not in ``ops``
+    #: ops travel as a published segment, not in ``ops``
     segment: tuple[str, str, int] | None = None
-    op_count: int = 0
 
 
 def plan_chunks(
@@ -469,19 +470,6 @@ def _discard_pool(processes: int) -> None:
     repro_parallel.discard_pool(_POOL_PURPOSE, processes)
 
 
-def pair_chunk(spec: ChunkSpec, span_threshold: int = 0) -> PairedChunk:
-    """Decode and pair one chunk (worker side).
-
-    ``span_threshold`` (a :func:`repro.obs.spans.sample_threshold`
-    value) makes the worker keep the duplicate-reply records of
-    span-sampled operations for the parent's span emission.
-    """
-    started = _time.perf_counter()
-    partial = _pair_partial(decode_chunk(spec), span_threshold=span_threshold)
-    partial.wall_seconds = _time.perf_counter() - started
-    return partial
-
-
 def _pair_chunk_segment(
     item: tuple[int, ChunkSpec],
     *,
@@ -490,150 +478,129 @@ def _pair_chunk_segment(
     transport: str,
     workdir: str,
 ) -> PairedChunk:
-    """Pool-side chunk task: pair, then publish ops as a segment.
-
-    The ops are key-sorted *here*, in the worker, so the parent can
-    k-way merge the per-chunk streams instead of sorting the world.
-    """
+    """Pool-side chunk task: pair, then publish ops as a segment."""
     index, spec = item
     started = _time.perf_counter()
     with paused_gc():
         partial = _pair_partial(
             decode_chunk(spec), span_threshold=span_threshold
         )
-        ops = partial.ops
-        ops.sort(key=_op_sort_key)
-        payload = encode_ops(ops)
-    partial.op_count = len(ops)
+        payload = encode_ops(partial.ops)
     partial.ops = []
     partial.segment = publish_segment(payload, token, index, transport, workdir)
     partial.wall_seconds = _time.perf_counter() - started
     return partial
 
 
+class _SpanTape:
+    """A worker's stand-in for a span recorder: keeps pairer spans.
+
+    Sampling is a pure hash of the operation, so the worker decides
+    exactly as the parent's recorder would; the parent replays the
+    kept spans into its buffered recorder.
+    """
+
+    __slots__ = ("threshold", "spans")
+
+    def __init__(self, threshold: int, spans: list) -> None:
+        self.threshold = threshold
+        self.spans = spans
+
+    def trace_of(self, client: str, xid: int, proc: str) -> str | None:
+        if sample_decision(client, xid, proc, self.threshold):
+            return trace_id(client, xid, proc)
+        return None
+
+    def pairer_span(self, *args) -> None:
+        self.spans.append(args)
+
+
+class _ChunkPairer(StreamPairer):
+    """A chunk's kernel: keeps the replies it cannot settle alone.
+
+    A reply that finds neither its call nor a recent pair is appended
+    to ``head`` as ``(ops paired so far, reply)`` instead of charged as
+    an orphan: its call may sit in an earlier chunk.
+    """
+
+    __slots__ = ("head",)
+
+    def __init__(self, head: list, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.head = head
+
+    def _orphan(self, reply: TraceRecord) -> None:
+        self.head.append((self.stats.paired, reply))
+
+
 def _pair_partial(
-    records: Iterable[TraceRecord],
+    records: list[TraceRecord],
     *,
-    recent: dict | None = None,
     reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
     span_threshold: int = 0,
 ) -> PairedChunk:
-    """Pair what can be paired locally; return the rest as leftovers.
+    """Drive a chunk-local pairing kernel over one chunk's records.
 
-    Mirrors :func:`repro.analysis.pairing.pair_records` except that
-    boundary effects are *returned* instead of charged: an unmatched
-    reply may have its call in an earlier chunk, an outstanding call
-    its reply in a later one.  The merge settles both, seeding
-    ``recent`` with the chunks' exported recent-pair maps so duplicate
-    replies straddling a boundary classify the same way a sequential
-    pass classifies them.
+    Replies that find neither their call nor a recent pair are left
+    for the boundary pass, not charged as orphans.  So are calls within
+    ``reply_timeout`` of the chunk's first record: a later reply could
+    otherwise pair an earlier chunk's call they retransmitted.
     """
     partial = PairedChunk()
-    outstanding: dict[tuple[str, int], TraceRecord] = {}
-    pop = outstanding.pop
-    if recent is None:
-        recent = {}
+    head = partial.head
+    spans = _SpanTape(span_threshold, partial.spans) if span_threshold else None
+    pairer = _ChunkPairer(
+        head, reply_timeout=reply_timeout, stats=partial.stats, spans=spans
+    )
+    push = pairer.push
     ops = partial.ops
     add_op = ops.append
-    orphans = partial.head_orphans
-    ok_status = NfsStatus.OK
     call_dir = Direction.CALL
-    calls = replies = paired = errors = retrans = dups = 0
-    last_time = 0.0
+    early = records[0].time + reply_timeout if records else 0.0
     for record in records:
-        if record.direction == call_dir:
-            calls += 1
-            key = (record.client, record.xid)
-            if key in outstanding:
-                retrans += 1  # retransmission: keep the newest
-            outstanding[key] = record
-        else:
-            replies += 1
-            time = record.time
-            if time > last_time:
-                last_time = time
-            key = (record.client, record.xid)
-            call = pop(key, None)
-            if call is None:
-                seen = recent.get(key)
-                if seen is not None and time - seen <= reply_timeout:
-                    dups += 1
-                    recent[key] = time
-                    if span_threshold and sample_decision(
-                        record.client, record.xid, record.proc._value_,
-                        span_threshold,
-                    ):
-                        partial.dup_records.append(record)
-                else:
-                    orphans.append(record)
-                continue
-            recent[key] = time
-            op = _merge(call, record)
-            paired += 1
-            if op.status is not ok_status:
-                errors += 1
+        if record.time <= early and record.direction == call_dir:
+            head.append((len(ops), record))
+        op = push(record)
+        if op is not None:
             add_op(op)
-    partial.calls = calls
-    partial.replies = replies
-    partial.paired = paired
-    partial.errors = errors
-    partial.retransmissions = retrans
-    partial.duplicates = dups
-    partial.tail_calls = list(outstanding.values())
-    horizon = last_time - reply_timeout
-    partial.recent = {k: t for k, t in recent.items() if t >= horizon}
+    end = records[-1].time if records else 0.0
+    partial.tail_calls, partial.recent = pairer.handoff(end)
     return partial
 
 
-def _emit_pairer_spans(spans, ops, boundary, partials) -> None:
-    """Emit pairer verdict spans from the merged parallel results.
+def _settle_boundaries(
+    partials: list[PairedChunk], spans
+) -> tuple[PairingStats, list[list[tuple[int, PairedOp]]]]:
+    """Pair what the chunks left open; returns total stats and placements.
 
-    Same verdicts as the serial pairer: ``paired`` from the final op
-    list, ``orphan_reply`` from the boundary's unmatched replies, and
-    ``duplicate_reply`` from the span-sampled duplicate records the
-    workers kept.  Emission order is irrelevant — the buffered
-    recorder's close() sorts canonically.
+    One kernel walks the leftovers chunk by chunk in file order: the
+    chunk's open replies and early calls, then its outstanding calls
+    and recent pairs.  ``placements[i]`` lists ``(local ops before,
+    op)`` for the ops completed by chunk ``i``'s open replies.
     """
-    for op in ops:
-        tid = spans.trace_of(op.client, op.xid, op.proc._value_)
-        if tid is not None:
-            spans.pairer_span(
-                tid, op.proc._value_, op.time, op.reply_time, "paired"
-            )
-    for record in boundary.head_orphans:
-        tid = spans.trace_of(record.client, record.xid, record.proc._value_)
-        if tid is not None:
-            spans.pairer_span(
-                tid, record.proc._value_, record.time, record.time,
-                "orphan_reply",
-            )
+    stats = PairingStats()
     for partial in partials:
-        for record in partial.dup_records:
-            spans.pairer_span(
-                trace_id(record.client, record.xid, record.proc._value_),
-                record.proc._value_, record.time, record.time,
-                "duplicate_reply",
-            )
-    for record in boundary.dup_records:
-        spans.pairer_span(
-            trace_id(record.client, record.xid, record.proc._value_),
-            record.proc._value_, record.time, record.time,
-            "duplicate_reply",
-        )
-
-
-def _leftover_sort_key(record: TraceRecord):
-    # calls before replies at equal times, then stable identity order
-    return (
-        record.time,
-        0 if record.direction == Direction.CALL else 1,
-        record.client,
-        record.xid,
-    )
-
-
-def _op_sort_key(op: PairedOp):
-    return (op.time, op.client, op.xid)
+        for name, value in vars(partial.stats).items():
+            setattr(stats, name, getattr(stats, name) + value)
+    calls, replies = stats.calls, stats.replies
+    boundary = StreamPairer(stats=stats, spans=spans)
+    call_dir = Direction.CALL
+    placements = []
+    for partial in partials:
+        placed = []
+        for before, record in partial.head:
+            if record.direction == call_dir:
+                boundary.supersede(record)
+            else:
+                op = boundary.push(record)
+                if op is not None:
+                    placed.append((before, op))
+        boundary.adopt(partial.tail_calls, partial.recent)
+        placements.append(placed)
+    boundary.close()
+    # the chunks already counted the records this pass pushed again
+    stats.calls, stats.replies = calls, replies
+    return stats, placements
 
 
 def _map_chunks(
@@ -664,6 +631,39 @@ def _map_chunks(
     return partials, token
 
 
+def _pair_fanned(
+    specs: list[ChunkSpec], *, jobs: int, workdir: str, spans
+) -> tuple[list[PairedOp], PairingStats, list[PairedChunk]]:
+    """Pair chunks on the pool, settle boundaries, rebuild reply order."""
+    span_threshold = sample_threshold(spans.sample) if spans is not None else 0
+    token: str | None = None
+    try:
+        with paused_gc():
+            partials, token = _map_chunks(
+                specs, jobs=jobs, span_threshold=span_threshold,
+                workdir=workdir,
+            )
+        stats, placements = _settle_boundaries(partials, spans)
+        ops: list[PairedOp] = []
+        with paused_gc():
+            for partial, placed in zip(partials, placements):
+                local = decode_ops(claim_segment(partial.segment))
+                done = 0
+                for before, op in placed:
+                    ops.extend(islice(local, before - done))
+                    ops.append(op)
+                    done = before
+                ops.extend(local)
+    finally:
+        if token is not None:
+            sweep_segments(token, len(specs))
+    if spans is not None:
+        for partial in partials:
+            for args in partial.spans:
+                spans.pairer_span(*args)
+    return ops, stats, partials
+
+
 def parallel_pair(
     path: str | Path,
     *,
@@ -674,116 +674,51 @@ def parallel_pair(
 ) -> tuple[list[PairedOp], PairingStats]:
     """Pair a whole trace, fanning chunks over a process pool.
 
-    Returns ``(ops, stats)`` like
-    :func:`repro.analysis.pairing.pair_all`.  Results are identical for
-    every ``jobs`` value: the chunk plan is content-derived
-    (``chunk_records=None`` auto-tunes it from the record count) and
-    the merge is deterministic — per-chunk op streams arrive key-sorted
-    and the k-way merge ties break in chunk order, exactly like the
-    stable sort of the concatenated lists that ``jobs=1`` performs.
-    Boundary-crossing pairs are resolved by a final pairing pass over
-    each chunk's unmatched tail calls and head replies; anything still
-    unmatched is charged as capture loss.
+    Returns ``(ops, stats)`` exactly as
+    :func:`repro.analysis.pairing.pair_all` over the trace does, for
+    every ``jobs`` and ``chunk_records`` value.  ``jobs=1`` and
+    single-chunk traces run that serial pass directly;
+    ``chunk_records=None`` auto-tunes the chunk plan of a fan-out.
 
-    With a *buffered* :class:`~repro.obs.spans.SpanRecorder` the merge
+    With a *buffered* :class:`~repro.obs.spans.SpanRecorder` pairing
     also emits pairer verdict spans for sampled operations; the
     recorder's canonical close order makes the exported span stream
     byte-identical to the serial and streaming pairers'.
     """
     started = _time.perf_counter()
-    span_threshold = sample_threshold(spans.sample) if spans is not None else 0
     path = str(path)
-    workdir: str | None = None
-    token: str | None = None
+    workdir = tempfile.mkdtemp(prefix="repro-pair-") if jobs > 1 else None
     specs: list[ChunkSpec] = []
+    partials: list[PairedChunk] = []
     try:
-        if jobs > 1 or path.endswith(".gz"):
-            workdir = tempfile.mkdtemp(prefix="repro-pair-")
-        plan_path = _spool_gz(path, workdir) if path.endswith(".gz") else path
-        specs = _plan(
-            plan_path, chunk_records, table_dir=workdir if jobs > 1 else None
-        )
-        fanout = jobs > 1 and len(specs) > 1
-        if fanout:
-            with paused_gc():
-                partials, token = _map_chunks(
-                    specs, jobs=jobs, span_threshold=span_threshold,
-                    workdir=workdir,
-                )
+        if workdir is not None:
+            if path.endswith(".gz"):
+                path = _spool_gz(path, workdir)
+            specs = _plan(path, chunk_records, table_dir=workdir)
+        if len(specs) > 1:
+            ops, stats, partials = _pair_fanned(
+                specs, jobs=jobs, workdir=workdir, spans=spans
+            )
         else:
-            partials = [pair_chunk(spec, span_threshold) for spec in specs]
-
-        leftovers: list[TraceRecord] = []
-        boundary_recent: dict[tuple[str, int], float] = {}
-        for partial in partials:
-            leftovers.extend(partial.tail_calls)
-            leftovers.extend(partial.head_orphans)
-            for key, when in partial.recent.items():
-                prev = boundary_recent.get(key)
-                if prev is None or when > prev:
-                    boundary_recent[key] = when
-        leftovers.sort(key=_leftover_sort_key)
-        boundary = _pair_partial(
-            leftovers, recent=boundary_recent, span_threshold=span_threshold
-        )
-
-        stats = PairingStats(
-            calls=sum(p.calls for p in partials),
-            replies=sum(p.replies for p in partials),
-            paired=sum(p.paired for p in partials) + boundary.paired,
-            orphan_replies=len(boundary.head_orphans),
-            unanswered_calls=(
-                sum(p.retransmissions for p in partials)
-                + boundary.retransmissions
-                + len(boundary.tail_calls)
-            ),
-            errors=sum(p.errors for p in partials) + boundary.errors,
-            duplicate_replies=(
-                sum(p.duplicates for p in partials) + boundary.duplicates
-            ),
-        )
-        with paused_gc():
-            if fanout:
-                # Streaming k-way merge-decode: each chunk's segment is
-                # already key-sorted, the sorted boundary ops go last so
-                # equal keys resolve (chunk order, then boundary) exactly
-                # as the stable concat-sort below resolves them.
-                streams = [
-                    decode_ops(claim_segment(p.segment)) for p in partials
-                ]
-                if boundary.ops:
-                    boundary.ops.sort(key=_op_sort_key)
-                    streams.append(iter(boundary.ops))
-                ops = list(heapq.merge(*streams, key=_op_sort_key))
-            else:
-                ops = sorted(
-                    (op for partial in partials for op in partial.ops),
-                    key=_op_sort_key,
-                )
-                if boundary.ops:
-                    ops.extend(boundary.ops)
-                    ops.sort(key=_op_sort_key)
+            stats = PairingStats()
+            with TraceReader(path) as reader, paused_gc():
+                ops = list(pair_records(reader, stats=stats, spans=spans))
     finally:
-        if token is not None:
-            sweep_segments(token, len(specs))
         if workdir is not None:
             shutil.rmtree(workdir, ignore_errors=True)
 
-    if spans is not None:
-        _emit_pairer_spans(spans, ops, boundary, partials)
-
     if metrics is not None:
         wall = _time.perf_counter() - started
-        busy = sum(p.wall_seconds for p in partials)
-        pool_size = min(jobs, len(specs)) if jobs > 1 else 1
+        chunk_seconds = [p.wall_seconds for p in partials] or [wall]
+        pool_size = min(jobs, len(chunk_seconds))
         metrics.gauge("analysis.pool.jobs").set(pool_size)
-        metrics.gauge("analysis.pool.chunks").set(len(specs))
+        metrics.gauge("analysis.pool.chunks").set(len(chunk_seconds))
         metrics.gauge("analysis.pool.utilization").set(
-            busy / (pool_size * wall) if wall > 0 else 0.0
+            sum(chunk_seconds) / (pool_size * wall) if wall > 0 else 0.0
         )
         chunk_hist = metrics.histogram("analysis.pool.chunk_seconds")
-        for partial in partials:
-            chunk_hist.observe(partial.wall_seconds)
+        for seconds in chunk_seconds:
+            chunk_hist.observe(seconds)
         metrics.counter("analysis.pool.records").inc(stats.calls + stats.replies)
         metrics.counter("analysis.pool.ops").inc(len(ops))
     return ops, stats

@@ -22,7 +22,6 @@ from repro.analysis.lifetimes import (
     DEATH_TRUNCATE,
     BlockLifetimeAnalyzer,
 )
-from repro.analysis.pairing import pair_all
 from repro.analysis.reorder import reorder_window_sort
 from repro.analysis.runs import RunBuilder, classify_runs
 from repro.analysis.summary import summarize_trace
@@ -1309,17 +1308,29 @@ def cmd_anonymize(args) -> int:
     return 0
 
 
-def _load_ops(args):
-    with TraceReader(args.input) as reader:
-        ops, stats = pair_all(reader)
+def _load_ops(args, *, jobs=1, metrics=None, spans=None):
+    """Pair ``args.input`` once; returns ``(ops, stats, start, end)``.
+
+    Every batch command gets its ops here, in reply order, through
+    :func:`repro.analysis.parallel.parallel_pair` (the serial pass for
+    ``jobs=1``).  The default window is min/max call time: ops come
+    in reply order, so the first and last list elements need not
+    carry the extreme call times, and the streaming engine, which
+    learns its bounds the same way, must agree with this path exactly.
+    """
+    from repro.analysis.parallel import parallel_pair
+
+    ops, stats = parallel_pair(
+        args.input, jobs=jobs, metrics=metrics, spans=spans
+    )
     if not ops:
         raise ValueError(f"no pairable operations in {args.input}")
-    # default window: min/max call time.  Ops are yielded in *reply*
-    # order, so first/last list elements need not carry the extreme
-    # call times — and the streaming engine, which learns its bounds
-    # the same way, must agree with this path exactly.
-    start = args.start if args.start is not None else min(op.time for op in ops)
-    end = args.end if args.end is not None else max(op.time for op in ops) + 1e-6
+    start = getattr(args, "start", None)
+    end = getattr(args, "end", None)
+    if start is None:
+        start = min(op.time for op in ops)
+    if end is None:
+        end = max(op.time for op in ops) + 1e-6
     return ops, stats, start, end
 
 
@@ -1396,13 +1407,12 @@ def cmd_runs(args) -> int:
 
 def cmd_lifetimes(args) -> int:
     """Print Table 4 numbers and a Figure 3-style CDF."""
-    with TraceReader(args.input) as reader:
-        ops, _stats = pair_all(reader)
-    if not ops:
-        raise ValueError(f"no pairable operations in {args.input}")
-    t_first, t_last = ops[0].time, ops[-1].time
+    ops, _stats, _start, _end = _load_ops(args)
     phase1_start = args.phase1_start
-    phase2_end = args.phase2_end if args.phase2_end is not None else t_last
+    phase2_end = (
+        args.phase2_end if args.phase2_end is not None
+        else max(op.time for op in ops)
+    )
     phase1_end = (
         args.phase1_end
         if args.phase1_end is not None
@@ -1474,7 +1484,6 @@ def cmd_analyze(args) -> int:
     summary, run-pattern, and characterization reports.  Output is
     byte-identical for every ``--jobs`` value.
     """
-    from repro.analysis.parallel import parallel_pair
     from repro.obs import MetricsRegistry
 
     if args.stream:
@@ -1482,15 +1491,9 @@ def cmd_analyze(args) -> int:
     metrics = MetricsRegistry()
     spans, span_sink = _analysis_spans(args, metrics)
     try:
-        ops, stats = parallel_pair(
-            args.input, jobs=args.jobs, metrics=metrics, spans=spans
+        ops, stats, start, end = _load_ops(
+            args, jobs=args.jobs, metrics=metrics, spans=spans
         )
-        if not ops:
-            raise ValueError(f"no pairable operations in {args.input}")
-        start = (args.start if args.start is not None
-                 else min(op.time for op in ops))
-        end = (args.end if args.end is not None
-               else max(op.time for op in ops) + 1e-6)
         print(_summary_text(args.input, summarize_trace(ops, start, end), stats))
         print()
         table = _batch_runs_table(ops, start, end, args.window_ms, args.jumps)
@@ -1607,10 +1610,7 @@ def cmd_names(args) -> int:
     """Print name-category census and prediction accuracies."""
     from repro.analysis.names import NameCategoryAnalyzer
 
-    with TraceReader(args.input) as reader:
-        ops, _stats = pair_all(reader)
-    if not ops:
-        raise ValueError(f"no pairable operations in {args.input}")
+    ops, _stats, _start, _end = _load_ops(args)
     analyzer = NameCategoryAnalyzer().observe_all(ops)
     census = analyzer.category_census()
     total = sum(census.values()) or 1
@@ -1713,10 +1713,7 @@ def cmd_characterize(args) -> int:
     """Fit a scenario-spec skeleton to a trace (the synthetic twin)."""
     from repro.scenarios import fit_scenario
 
-    with TraceReader(args.input) as reader:
-        ops, stats = pair_all(reader)
-    if not ops:
-        raise ValueError(f"no pairable operations in {args.input}")
+    ops, _stats, _start, _end = _load_ops(args)
     spec = fit_scenario(ops, name=args.name)
     text = spec.spec() + "\n"
     if args.out:

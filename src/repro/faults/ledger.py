@@ -17,14 +17,14 @@ correct pairer must produce:
   (its call was lost);
 * calls still outstanding at end of stream are unanswered.
 
-The ledger keeps no periodic expiry, unlike
-:func:`repro.analysis.pairing.pair_records`.  The two still agree
-exactly because every injected delay is capped at
+The ledger pairs a reply with its outstanding call however late it
+arrives; the pairing kernel (:class:`repro.analysis.pairing.StreamPairer`)
+pairs it only within ``reply_timeout``.  The two still agree exactly
+because every injected delay is capped at
 :data:`~repro.faults.spec.MAX_FAULT_DELAY` (1 s) and client
 retransmission backoff at ~4 s, both far under the 8 s reply timeout:
-the pairer's periodic expiry can therefore only ever evict calls that
-were genuinely never answered, which the ledger counts identically at
-the end.
+the timeout can therefore only ever end calls that were genuinely
+never answered, which the ledger counts identically at the end.
 """
 
 from __future__ import annotations

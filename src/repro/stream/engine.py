@@ -5,8 +5,8 @@
 :class:`~repro.trace.collector.TraceCollector` tap, anything that
 yields :class:`~repro.trace.record.TraceRecord` — into every registered
 :class:`StreamAnalysis`.  Records are paired into operations on the fly
-by a :class:`~repro.analysis.pairing.StreamPairer` (the push-based twin
-of :func:`~repro.analysis.pairing.pair_records`, with identical loss
+by a :class:`~repro.analysis.pairing.StreamPairer` (the pairing kernel
+every batch path drives too: same ops, same reply order, same loss
 accounting), so each analysis chooses its granularity: raw wire records
 (``process_record``), paired operations (``process_op``), or both.
 

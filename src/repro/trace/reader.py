@@ -121,6 +121,11 @@ class TraceReader:
                     records += 1
                 except TraceFormatError:
                     if self.strict:
+                        if self.path.suffix == ".gz":
+                            # a damaged .gz yields garbage before it
+                            # fails: name the damage, not the symptom
+                            for _ in self._file:
+                                pass
                         raise
                     self.bad_lines += 1
             self._publish(records, nbytes)

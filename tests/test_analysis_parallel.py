@@ -105,39 +105,39 @@ class TestParallelPair:
 
     def test_chunking_does_not_change_results(self, trace_path):
         # one big chunk vs many small ones: same pairs, same accounting
-        ops_one, stats_one = parallel_pair(trace_path, jobs=1)
-        ops_many, stats_many = parallel_pair(trace_path, jobs=1,
+        ops_one, stats_one = parallel_pair(trace_path, jobs=2)
+        ops_many, stats_many = parallel_pair(trace_path, jobs=2,
                                              chunk_records=32)
         assert ops_one == ops_many
         assert stats_one == stats_many
 
     def test_matches_sequential_pairing(self, trace_path):
-        ops, stats = parallel_pair(trace_path, jobs=1, chunk_records=64)
-        seq_ops, seq_stats = pair_all(read_trace(trace_path))
-        assert sorted(ops, key=lambda o: (o.time, o.client, o.xid)) == sorted(
-            seq_ops, key=lambda o: (o.time, o.client, o.xid)
-        )
-        assert stats.paired == seq_stats.paired
-        assert stats.calls == seq_stats.calls
-        assert stats.replies == seq_stats.replies
-        assert stats.errors == seq_stats.errors
+        seq = pair_all(read_trace(trace_path))
+        for jobs in (1, 2):
+            assert parallel_pair(
+                trace_path, jobs=jobs, chunk_records=64
+            ) == seq, f"jobs={jobs} diverged from pair_all"
 
     def test_loss_accounting(self, trace_path):
-        _ops, stats = parallel_pair(trace_path, jobs=1, chunk_records=64)
+        _ops, stats = parallel_pair(trace_path, jobs=2, chunk_records=64)
         assert stats.orphan_replies == 2
         assert stats.unanswered_calls == 2
 
-    def test_ops_sorted_by_call_time(self, trace_path):
-        ops, _stats = parallel_pair(trace_path, jobs=1, chunk_records=64)
-        times = [op.time for op in ops]
-        assert times == sorted(times)
+    def test_ops_in_reply_order(self, trace_path):
+        # one op per completing reply, in the order the replies arrive
+        ops, _stats = parallel_pair(trace_path, jobs=2, chunk_records=64)
+        replies = [
+            (r.client, r.xid) for r in read_trace(trace_path)
+            if r.direction == Direction.REPLY and r.xid < 90000
+        ]
+        assert [(op.client, op.xid) for op in ops] == replies
 
     def test_text_and_binary_agree(self, tmp_path):
         records = make_stream()
         write_trace(tmp_path / "t.trace", records)
         write_trace(tmp_path / "t.rtb", records)
-        text = parallel_pair(tmp_path / "t.trace", jobs=1, chunk_records=64)
-        binary = parallel_pair(tmp_path / "t.rtb", jobs=1, chunk_records=64)
+        text = parallel_pair(tmp_path / "t.trace", jobs=2, chunk_records=64)
+        binary = parallel_pair(tmp_path / "t.rtb", jobs=2, chunk_records=64)
         assert text == binary
 
     def test_gz_input_matches_plain(self, tmp_path):

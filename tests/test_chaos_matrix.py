@@ -123,11 +123,7 @@ class TestChaosMatrix:
         _, text, _, _ = _cached(system_name, schedule_name)
         path = tmp_path / "chaos.trace"
         path.write_text(text)
-        # a window wider than MAX_FAULT_DELAY (1s) keeps the batch
-        # (call-ordered) and stream (completion-ordered) op sequences
-        # sortable to the same order despite injected reorder delays;
-        # at the default 10ms the runs sections legitimately diverge
-        argv = ["analyze", "--in", str(path), "--window-ms", "3000"]
+        argv = ["analyze", "--in", str(path)]
         assert main(argv) == 0
         batch_out = capsys.readouterr().out
         assert main(argv + ["--stream"]) == 0
